@@ -20,7 +20,7 @@ FUZZTIME ?= 30s
 COVER_BASELINE ?= 77.3
 
 .PHONY: ci lint vet build test test-short race race-full bench bench-smoke \
-	bench-contention bench-cache bench-latency bench-batch bench-ingest \
+	bench-contention bench-cache bench-latency bench-ingest \
 	bench-serve check obs-lint fuzz-smoke cover
 
 ci: lint build race check obs-lint fuzz-smoke bench-smoke
@@ -70,13 +70,14 @@ race-full:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-smoke exercises the parallel query path end-to-end for a fraction of
-# a second — enough to catch a deadlock or crash in the concurrent pipeline
-# without slowing CI — and -qps-guard fails the run if 4-goroutine QPS drops
-# below 1-goroutine QPS (the parallel-scaling regression this repo once
-# shipped: more goroutines, fewer queries). The same guard covers sharding:
-# a 4-shard facade client queried by 4 goroutines must beat the 1-shard
-# serial baseline, so scatter-gather fan-out can't eat the batching wins.
+# bench-smoke exercises the parallel query path end-to-end in short
+# alternating passes — enough to catch a deadlock or crash in the concurrent
+# pipeline without slowing CI — and -qps-guard fails the run if the median
+# 4-goroutine QPS drops below the median 1-goroutine QPS (the
+# parallel-scaling regression this repo once shipped: more goroutines, fewer
+# queries). The same guard covers sharding: a 4-shard facade client queried
+# by 4 goroutines must not fall below the 1-shard serial baseline, so
+# scatter-gather fan-out can't eat the parallel speedup.
 # -quant-guard fails the run if the mixed-precision cold decode is not at
 # least 2x the float64 decode — the quantized kernels' reason to exist.
 # It writes no BENCH.json.
@@ -96,13 +97,6 @@ bench-contention:
 # BENCH.json.
 bench-cache:
 	$(GO) run ./cmd/saccs-bench -only cache -parallel-dur 2s
-
-# bench-batch sweeps the cross-request extraction batcher: gather windows
-# {off, 100µs, 250µs, 500µs} × goroutine counts {1,2,4,8} on a cold (cache-
-# missing) query stream, reporting QPS, shared vs solo decode counts, and the
-# mean batch size. Appends the batch section to BENCH.json.
-bench-batch:
-	$(GO) run ./cmd/saccs-bench -only batch -parallel-dur 2s
 
 # bench-latency measures the end-to-end query latency distribution
 # (p50/p90/p99/p999 from the request-latency histogram, plus QPS) and writes

@@ -10,22 +10,17 @@
 // machine-readable JSON (-bench-out, default BENCH.json).
 //
 // The "parallel" section measures cold-path end-to-end query throughput at
-// one goroutine and at -parallel goroutines over the same pipeline, with the
-// facade's default cross-request extraction batching configured: every query
-// is a distinct multi-sentence utterance (no extraction cache, no batch
-// dedup), so the decode work is real and concurrent queries can only beat
-// the single-goroutine figure by sharing forwards through the gather window.
-// With -qps-guard the process exits nonzero if the multi-goroutine pass is
-// slower than the single-goroutine pass — the regression CI smoke gate. The
-// section also compares the public facade sharded: the same cold workload at
-// 1 shard / 1 goroutine and at -parallel shards / -parallel goroutines, and
-// the guard extends to it — sharded concurrent QPS must beat the serial
-// single-shard baseline, so scatter-gather fan-out can never silently eat
-// the batching wins.
-//
-// The "batch" section sweeps the gather window (off, 100µs, 250µs, 500µs)
-// across 1/2/4/8 goroutines on the same cold workload and records QPS plus
-// the shared/solo decode counts per pass — the tuning table for BatchWindow.
+// one goroutine and at -parallel goroutines over the same pipeline: every
+// query is a distinct multi-sentence utterance (no extraction cache), so the
+// decode work is real. The passes alternate for several rounds and each row
+// reports its configuration's median pass. With -qps-guard the process exits
+// nonzero if the multi-goroutine median is below the single-goroutine
+// median — the CI smoke gate against the parallel-scaling regression (more
+// goroutines, fewer queries). The section also compares the public facade
+// sharded: the same cold workload at 1 shard / 1 goroutine and at -parallel
+// shards / -parallel goroutines, and the guard extends to it — sharded
+// concurrent QPS must not fall below the serial single-shard baseline, so
+// scatter-gather fan-out can never silently eat the parallel speedup.
 //
 // The "contention" section measures what a writer costs the
 // readers: -readers goroutines query continuously for a readers-only
@@ -65,7 +60,7 @@
 // Usage:
 //
 //	saccs-bench [-scale fast|paper]
-//	            [-only table2,table3,table4,table5,figures,stages,quant,parallel,batch,contention,cache,latency,ingest,serve]
+//	            [-only table2,table3,table4,table5,figures,stages,quant,parallel,contention,cache,latency,ingest,serve]
 //	            [-parallel N] [-parallel-dur 2s] [-qps-guard] [-quant-guard]
 //	            [-readers N] [-contention-dur 2s]
 //	            [-bench-out BENCH.json] [-metrics-addr :9090]
@@ -108,11 +103,11 @@ import (
 
 func main() {
 	scaleFlag := flag.String("scale", "fast", "experiment scale: fast or paper")
-	only := flag.String("only", "", "comma-separated subset: table2,table3,table4,table5,figures,stages,quant,parallel,batch,contention,cache,latency,ingest,serve")
+	only := flag.String("only", "", "comma-separated subset: table2,table3,table4,table5,figures,stages,quant,parallel,contention,cache,latency,ingest,serve")
 	benchOut := flag.String("bench-out", "BENCH.json", "file for the machine-readable benchmark results (empty disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :9090)")
 	parallelN := flag.Int("parallel", runtime.GOMAXPROCS(0), "goroutines for the parallel query benchmark")
-	qpsGuard := flag.Bool("qps-guard", false, "exit nonzero if the parallel section's multi-goroutine QPS falls below its single-goroutine QPS")
+	qpsGuard := flag.Bool("qps-guard", false, "exit nonzero if the parallel section's median multi-goroutine QPS falls below its median single-goroutine QPS")
 	quantGuard := flag.Bool("quant-guard", false, "exit nonzero if the quant section's mixed-precision cold decode is not at least 2x the float64 decode")
 	parallelDur := flag.Duration("parallel-dur", 2*time.Second, "duration of each parallel benchmark pass")
 	readersN := flag.Int("readers", runtime.GOMAXPROCS(0), "reader goroutines for the contention benchmark")
@@ -169,14 +164,13 @@ func main() {
 	run("stages", func() { stageBenchmarks(o, doc) })
 	run("quant", func() { quantBenchmarks(o, doc, *quantGuard) })
 	run("parallel", func() { parallelBenchmarks(o, doc, *parallelN, *parallelDur, *qpsGuard) })
-	run("batch", func() { batchBenchmarks(o, doc, *parallelDur) })
 	run("contention", func() { contentionBenchmarks(o, doc, *readersN, *contentionDur) })
 	run("cache", func() { cacheBenchmarks(o, doc, *parallelDur) })
 	run("latency", func() { latencyBenchmarks(o, doc, *parallelDur) })
 	run("ingest", func() { ingestBenchmarks(doc, *parallelDur) })
 	run("serve", func() { serveBenchmarks(doc, []int{1, 2, 4}, *parallelDur) })
 
-	if *benchOut != "" && (len(doc.Stages) > 0 || len(doc.Quant) > 0 || len(doc.Parallel) > 0 || len(doc.Batch) > 0 || len(doc.Contention) > 0 || doc.Cache != nil || doc.Latency != nil || doc.Ingest != nil || doc.Serve != nil) {
+	if *benchOut != "" && (len(doc.Stages) > 0 || len(doc.Quant) > 0 || len(doc.Parallel) > 0 || len(doc.Contention) > 0 || doc.Cache != nil || doc.Latency != nil || doc.Ingest != nil || doc.Serve != nil) {
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*benchOut, append(data, '\n'), 0o644)
@@ -201,8 +195,8 @@ func main() {
 		if doc.Serve != nil {
 			serveRows = len(doc.Serve.Passes)
 		}
-		fmt.Printf("wrote %s (%d stages, %d parallel passes, %d batch passes, %d contention passes, %d cache rows, %s, %d ingest rows, %d serve passes)\n",
-			*benchOut, len(doc.Stages), len(doc.Parallel), len(doc.Batch), len(doc.Contention), cacheRows, latency, ingestRows, serveRows)
+		fmt.Printf("wrote %s (%d stages, %d parallel rows, %d contention passes, %d cache rows, %s, %d ingest rows, %d serve passes)\n",
+			*benchOut, len(doc.Stages), len(doc.Parallel), len(doc.Contention), cacheRows, latency, ingestRows, serveRows)
 	}
 }
 
@@ -218,28 +212,20 @@ type stageResult struct {
 	Iterations  int     `json:"iterations"`
 }
 
-// parallelResult is one throughput pass of the parallel benchmark. Shards is
+// parallelResult is one configuration of the parallel benchmark. Shards is
 // 0 for the in-process core service passes and set for the facade passes
-// that compare a sharded client against the single-shard baseline.
+// that compare a sharded client against the single-shard baseline. Queries
+// and Seconds total the configuration's Passes; QPS is the median pass,
+// MinQPS and MaxQPS the spread.
 type parallelResult struct {
 	Shards     int     `json:"shards,omitempty"`
 	Goroutines int     `json:"goroutines"`
 	Queries    int64   `json:"queries"`
 	Seconds    float64 `json:"seconds"`
 	QPS        float64 `json:"qps"`
-}
-
-// batchResult is one pass of the gather-window sweep: cold-path query
-// throughput at one (window, goroutines) point, plus how the decodes split
-// between shared batch forwards and solo bypasses.
-type batchResult struct {
-	WindowUS      float64 `json:"window_us"`
-	Goroutines    int     `json:"goroutines"`
-	Queries       int64   `json:"queries"`
-	Seconds       float64 `json:"seconds"`
-	QPS           float64 `json:"qps"`
-	SharedDecodes int64   `json:"shared_decodes"`
-	SoloDecodes   int64   `json:"solo_decodes"`
+	Passes     int     `json:"passes,omitempty"`
+	MinQPS     float64 `json:"min_qps,omitempty"`
+	MaxQPS     float64 `json:"max_qps,omitempty"`
 }
 
 // contentionResult is one pass of the readers-vs-rebuild benchmark.
@@ -363,7 +349,6 @@ type benchFile struct {
 	Stages     []stageResult      `json:"stages,omitempty"`
 	Quant      []stageResult      `json:"quant,omitempty"`
 	Parallel   []parallelResult   `json:"parallel,omitempty"`
-	Batch      []batchResult      `json:"batch,omitempty"`
 	Contention []contentionResult `json:"contention,omitempty"`
 	Cache      *cacheSection      `json:"cache,omitempty"`
 	Latency    *latencySection    `json:"latency,omitempty"`
@@ -577,11 +562,8 @@ func quantBenchmarks(o *obs.Observer, doc *benchFile, guard bool) {
 }
 
 // coldUtterances builds n distinct three-sentence utterances. Distinctness
-// matters twice: it keeps the extraction cache out of the picture (every
-// sentence is a real decode — the cold path), and it keeps the batcher's
-// duplicate folding from sharing slots, so a batched pass wins only by
-// genuinely sharing forward passes, never by answering several callers from
-// one sequence.
+// keeps the extraction cache out of the picture: every sentence is a real
+// decode — the cold path.
 func coldUtterances(n int) []string {
 	adjs := []string{"delicious", "friendly", "quiet", "creative", "amazing",
 		"attentive", "cozy", "fresh", "spicy", "generous", "charming", "polite"}
@@ -601,11 +583,11 @@ func coldUtterances(n int) []string {
 	return out
 }
 
-// coldQueryPass runs g goroutines of end-to-end queries over the cold
-// utterance pool for dur. A shared round-robin counter hands every query the
-// next distinct utterance, so concurrent requests never carry the same
-// sentences.
-func coldQueryPass(svc *core.Service, pool []string, g int, dur time.Duration) (int64, float64) {
+// coldQueryPass runs g goroutines calling query over the cold utterance pool
+// for dur and returns the pass as a parallelResult. A shared round-robin
+// counter hands every call the next distinct utterance, so concurrent
+// requests never carry the same sentences.
+func coldQueryPass(query func(string), pool []string, shards, g int, dur time.Duration) parallelResult {
 	var n, seq atomic.Int64
 	var wg sync.WaitGroup
 	deadline := time.Now().Add(dur)
@@ -616,58 +598,89 @@ func coldQueryPass(svc *core.Service, pool []string, g int, dur time.Duration) (
 			defer wg.Done()
 			for time.Now().Before(deadline) {
 				i := seq.Add(1)
-				svc.Query(pool[int(i)%len(pool)])
+				query(pool[int(i)%len(pool)])
 				n.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	return n.Load(), time.Since(start).Seconds()
+	sec := time.Since(start).Seconds()
+	return parallelResult{Shards: shards, Goroutines: g, Queries: n.Load(), Seconds: sec, QPS: float64(n.Load()) / sec}
+}
+
+// guardRounds is how many rounds the parallel section alternates its passes.
+// Its rows report each configuration's median pass, so one slow spell of a
+// shared host moves a single pass rather than the guard's verdict.
+const guardRounds = 5
+
+// alternate runs each pass once per round, in order, for guardRounds rounds
+// and returns one row per pass: its shard and goroutine counts, the queries
+// and seconds summed over the rounds, and the median, minimum and maximum
+// pass QPS.
+func alternate(passes ...func() parallelResult) []parallelResult {
+	runs := make([][]parallelResult, len(passes))
+	for r := 0; r < guardRounds; r++ {
+		for i, pass := range passes {
+			runs[i] = append(runs[i], pass())
+		}
+	}
+	rows := make([]parallelResult, len(passes))
+	for i, rs := range runs {
+		row := parallelResult{Shards: rs[0].Shards, Goroutines: rs[0].Goroutines, Passes: len(rs)}
+		qps := make([]float64, len(rs))
+		for j, r := range rs {
+			row.Queries += r.Queries
+			row.Seconds += r.Seconds
+			qps[j] = r.QPS
+		}
+		sort.Float64s(qps)
+		row.QPS, row.MinQPS, row.MaxQPS = qps[len(qps)/2], qps[0], qps[len(qps)-1]
+		rows[i] = row
+	}
+	return rows
+}
+
+// printParallel prints parallel rows as a table.
+func printParallel(rows []parallelResult) {
+	fmt.Printf("%-8s %-12s %10s %10s %12s %12s %12s\n", "shards", "goroutines", "queries", "seconds", "median qps", "min qps", "max qps")
+	for _, r := range rows {
+		fmt.Printf("%-8d %-12d %10d %10.2f %12.1f %12.1f %12.1f\n", r.Shards, r.Goroutines, r.Queries, r.Seconds, r.QPS, r.MinQPS, r.MaxQPS)
+	}
 }
 
 // parallelBenchmarks measures cold-path end-to-end Query throughput at 1 and
-// at workers goroutines over one shared pipeline, with the facade's default
-// cross-request batching configured. On one CPU, time-slicing N goroutines
-// through the same serial decodes can only lose (the switch overhead was the
-// measured 1→4 goroutine QPS regression); what scales is sharing the work —
-// concurrent cache-missing sentences gather into one batched forward. The
-// single-goroutine pass runs the identical configuration and stays serial
-// through the solo bypass, so the speedup row is batching's real effect, not
-// a workload change. With guard set, a multi-goroutine pass slower than the
-// single-goroutine one fails the process — the CI regression gate.
+// at workers goroutines over one shared pipeline, alternating the two passes
+// for guardRounds rounds. The decodes are independent, so on a multi-core
+// box the concurrent median should approach min(workers, cores) times the
+// serial one; on one CPU it should at least match it. With guard set, a
+// multi-goroutine median below the single-goroutine median fails the
+// process — the CI gate against the parallel-scaling regression (more
+// goroutines, fewer queries).
 func parallelBenchmarks(o *obs.Observer, doc *benchFile, workers int, dur time.Duration, guard bool) {
 	if workers < 1 {
 		workers = 1
 	}
-	svc, ex, _ := buildBenchPipeline(o)
-	def := saccs.DefaultConfig()
-	ex.BatchWindow, ex.BatchMaxSize = def.BatchWindow, def.BatchMaxSize
-	defer func() { ex.BatchWindow, ex.BatchMaxSize = 0, 0 }()
+	svc, _, _ := buildBenchPipeline(o)
 	pool := coldUtterances(512)
 
-	measure := func(g int) parallelResult {
-		q, sec := coldQueryPass(svc, pool, g, dur)
-		return parallelResult{Goroutines: g, Queries: q, Seconds: sec, QPS: float64(q) / sec}
+	query := func(u string) { svc.Query(u) }
+	pass := func(g int) func() parallelResult {
+		return func() parallelResult { return coldQueryPass(query, pool, 0, g, dur) }
 	}
-	gs := []int{1}
+	passes := []func() parallelResult{pass(1)}
 	if workers > 1 {
-		gs = append(gs, workers)
+		passes = append(passes, pass(workers))
 	}
-	fmt.Printf("%-12s %10s %10s %12s\n", "goroutines", "queries", "seconds", "qps")
-	var rows []parallelResult
-	for _, g := range gs {
-		r := measure(g)
-		rows = append(rows, r)
-		fmt.Printf("%-12d %10d %10.2f %12.1f\n", r.Goroutines, r.Queries, r.Seconds, r.QPS)
-	}
+	rows := alternate(passes...)
+	printParallel(rows)
 	if len(rows) == 2 && rows[0].QPS > 0 {
-		fmt.Printf("speedup %dx goroutines: %.2fx (GOMAXPROCS=%d, batch window %s)\n",
-			rows[1].Goroutines, rows[1].QPS/rows[0].QPS, runtime.GOMAXPROCS(0), def.BatchWindow)
+		fmt.Printf("speedup %dx goroutines: %.2fx (GOMAXPROCS=%d, medians of %d passes)\n",
+			rows[1].Goroutines, rows[1].QPS/rows[0].QPS, runtime.GOMAXPROCS(0), guardRounds)
 	}
 	doc.Parallel = rows
 	if guard && len(rows) == 2 && rows[1].QPS < rows[0].QPS {
-		fmt.Fprintf(os.Stderr, "qps guard: %d goroutines %.1f QPS < 1 goroutine %.1f QPS — parallel queries must not be slower than serial\n",
-			rows[1].Goroutines, rows[1].QPS, rows[0].QPS)
+		fmt.Fprintf(os.Stderr, "qps guard: %d goroutines %.1f QPS < 1 goroutine %.1f QPS (medians of %d passes) — parallel queries must not be slower than serial\n",
+			rows[1].Goroutines, rows[1].QPS, rows[0].QPS, guardRounds)
 		os.Exit(1)
 	}
 	if workers > 1 {
@@ -675,14 +688,13 @@ func parallelBenchmarks(o *obs.Observer, doc *benchFile, workers int, dur time.D
 	}
 }
 
-// shardedParallel extends the parallel section through the public facade: the
-// same cold workload at 1 shard / 1 goroutine (the baseline everything since
-// PR 7 is measured against) and at `workers` shards / `workers` goroutines.
-// The extraction cache is off so every query decodes for real — the regime
-// where cross-request batching earns its speedup — and the guard requires the
-// sharded concurrent pass to beat the serial single-shard baseline: the
-// scatter-gather fan-out must stay cheap enough that the batching wins
-// compound with sharding instead of being eaten by it.
+// shardedParallel extends the parallel section through the public facade:
+// the same cold workload at 1 shard / 1 goroutine, 1 shard / `workers`
+// goroutines and `workers` shards / `workers` goroutines, alternating for
+// guardRounds rounds. The extraction cache is off so every query decodes for
+// real. The guard requires the sharded concurrent median to reach the serial
+// single-shard median: the scatter-gather fan-out must stay cheap enough
+// that sharding never costs the throughput that concurrency buys.
 func shardedParallel(doc *benchFile, workers int, dur time.Duration, guard bool) {
 	mk := func(shards int) *saccs.Client {
 		cfg := saccs.DefaultConfig()
@@ -704,86 +716,21 @@ func shardedParallel(doc *benchFile, workers int, dur time.Duration, guard bool)
 	defer shardedC.Shutdown()
 	pool := coldUtterances(512)
 
-	pass := func(c *saccs.Client, shards, g int) parallelResult {
-		var n, seq atomic.Int64
-		var wg sync.WaitGroup
-		deadline := time.Now().Add(dur)
-		start := time.Now()
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					i := seq.Add(1)
-					c.Query(pool[int(i)%len(pool)])
-					n.Add(1)
-				}
-			}()
-		}
-		wg.Wait()
-		sec := time.Since(start).Seconds()
-		return parallelResult{Shards: shards, Goroutines: g, Queries: n.Load(), Seconds: sec, QPS: float64(n.Load()) / sec}
+	pass := func(c *saccs.Client, shards, g int) func() parallelResult {
+		query := func(u string) { c.Query(u) }
+		return func() parallelResult { return coldQueryPass(query, pool, shards, g, dur) }
 	}
-	rows := []parallelResult{pass(baseC, 1, 1), pass(baseC, 1, workers), pass(shardedC, workers, workers)}
-	fmt.Printf("%-8s %-12s %10s %10s %12s\n", "shards", "goroutines", "queries", "seconds", "qps")
-	for _, r := range rows {
-		fmt.Printf("%-8d %-12d %10d %10.2f %12.1f\n", r.Shards, r.Goroutines, r.Queries, r.Seconds, r.QPS)
-	}
+	rows := alternate(pass(baseC, 1, 1), pass(baseC, 1, workers), pass(shardedC, workers, workers))
+	printParallel(rows)
 	if rows[0].QPS > 0 {
-		fmt.Printf("sharded speedup over the 1-shard serial baseline: %.2fx\n", rows[2].QPS/rows[0].QPS)
+		fmt.Printf("sharded speedup over the 1-shard serial baseline: %.2fx (medians of %d passes)\n", rows[2].QPS/rows[0].QPS, guardRounds)
 	}
 	doc.Parallel = append(doc.Parallel, rows...)
 	if guard && rows[2].QPS < rows[0].QPS {
-		fmt.Fprintf(os.Stderr, "qps guard: %d shards x %d goroutines %.1f QPS < 1 shard x 1 goroutine %.1f QPS — sharded concurrent queries must beat the serial single-shard baseline\n",
-			rows[2].Shards, rows[2].Goroutines, rows[2].QPS, rows[0].QPS)
+		fmt.Fprintf(os.Stderr, "qps guard: %d shards x %d goroutines %.1f QPS < 1 shard x 1 goroutine %.1f QPS (medians of %d passes) — sharded concurrent queries must not be slower than the serial single-shard baseline\n",
+			rows[2].Shards, rows[2].Goroutines, rows[2].QPS, rows[0].QPS, guardRounds)
 		os.Exit(1)
 	}
-}
-
-// batchBenchmarks sweeps the gather window across goroutine counts on the
-// cold workload: window 0 is batching off (the old regression behavior), the
-// rest bracket the default. Each row also reports how that pass's decodes
-// split between shared batch forwards and solo bypasses, so the table shows
-// not just what a window buys but whether the gather protocol engaged at
-// all. Appends the batch section to BENCH.json.
-func batchBenchmarks(o *obs.Observer, doc *benchFile, dur time.Duration) {
-	svc, ex, _ := buildBenchPipeline(o)
-	ex.BatchMaxSize = saccs.DefaultConfig().BatchMaxSize
-	defer func() { ex.BatchWindow, ex.BatchMaxSize = 0, 0 }()
-	pool := coldUtterances(512)
-
-	windows := []time.Duration{0, 100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond}
-	gors := []int{1, 2, 4, 8}
-	fmt.Printf("%-10s %-12s %10s %12s %10s %10s %10s\n",
-		"window", "goroutines", "queries", "qps", "shared", "solo", "mean")
-	var rows []batchResult
-	for _, win := range windows {
-		ex.BatchWindow = win
-		for _, g := range gors {
-			shared0 := o.Counter("extract.batch.total").Value()
-			solo0 := o.Counter("extract.batch.solo.total").Value()
-			q, sec := coldQueryPass(svc, pool, g, dur)
-			r := batchResult{
-				WindowUS:      float64(win) / float64(time.Microsecond),
-				Goroutines:    g,
-				Queries:       q,
-				Seconds:       sec,
-				QPS:           float64(q) / sec,
-				SharedDecodes: o.Counter("extract.batch.total").Value() - shared0,
-				SoloDecodes:   o.Counter("extract.batch.solo.total").Value() - solo0,
-			}
-			rows = append(rows, r)
-			// Each query is three sentences; sentences not decoded solo
-			// went through shared forwards.
-			mean := 0.0
-			if r.SharedDecodes > 0 {
-				mean = float64(3*r.Queries-r.SoloDecodes) / float64(r.SharedDecodes)
-			}
-			fmt.Printf("%-10s %-12d %10d %12.1f %10d %10d %10.2f\n",
-				win, r.Goroutines, r.Queries, r.QPS, r.SharedDecodes, r.SoloDecodes, mean)
-		}
-	}
-	doc.Batch = rows
 }
 
 // contentionBenchmarks measures reader throughput with and without a

@@ -42,8 +42,6 @@ import (
 func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/slow and /debug/pprof on this address (e.g. :9090)")
 	slowThreshold := flag.Duration("slow-threshold", 100*time.Millisecond, "queries at or above this duration enter the slow-query log (:slow)")
-	batchWindow := flag.Duration("batch-window", 250*time.Microsecond, "gather window for cross-request extraction batching (0 disables)")
-	batchMax := flag.Int("batch-max", 16, "max sentences per batched decode forward (<2 disables batching)")
 	precisionFlag := flag.String("precision", "mixed", "utterance decode arithmetic: float64, mixed, or int8 (indexing always runs float64)")
 	flag.Parse()
 	precision, err := nn.ParsePrecision(*precisionFlag)
@@ -92,9 +90,7 @@ func main() {
 		Pairer: pairer,
 		// Interactive sessions repeat themselves; the generation-keyed cache
 		// serves repeated sentences without a decode (see :stats).
-		Cache:        extcache.New(4096),
-		BatchWindow:  *batchWindow,
-		BatchMaxSize: *batchMax,
+		Cache: extcache.New(4096),
 	}
 	svc := core.NewService(world, ex, nil, core.DefaultConfig())
 	svc.SetObserver(o)
@@ -102,11 +98,9 @@ func main() {
 	// -precision serves the REPL's utterance decodes — same split as the
 	// library facade, so the indexed world is precision-independent.
 	refEx := &core.Extractor{
-		Tagger:       tagger.ReferenceView{M: tg},
-		Pairer:       pairer,
-		Cache:        extcache.New(4096),
-		BatchWindow:  *batchWindow,
-		BatchMaxSize: *batchMax,
+		Tagger: tagger.ReferenceView{M: tg},
+		Pairer: pairer,
+		Cache:  extcache.New(4096),
 	}
 	svc.BuildEntityTags(core.NeuralSource{E: refEx})
 	svc.IndexTags(svc.CanonicalTags()[:8])

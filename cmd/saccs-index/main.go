@@ -44,8 +44,6 @@ func main() {
 	gold := flag.Bool("gold", false, "use gold review annotations instead of the neural extractor")
 	top := flag.Int("top", 5, "entities shown per tag")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address (e.g. :9090)")
-	batchWindow := flag.Duration("batch-window", 250*time.Microsecond, "gather window for cross-request extraction batching during the build (0 disables)")
-	batchMax := flag.Int("batch-max", 16, "max sentences per batched decode forward (<2 disables batching)")
 	stream := flag.Bool("stream", false, "feed reviews through the WAL-backed streaming ingester instead of one batch build")
 	walDir := flag.String("wal-dir", "", "durable WAL directory for -stream (empty: in-process only, no durability)")
 	publishEvery := flag.Int("publish-every", 64, "publish a fresh snapshot every N streamed reviews (-stream only)")
@@ -104,9 +102,7 @@ func main() {
 			Pairer: pairing.Tree{Lex: parse.DomainLexicon(world.Domain), FromOpinions: true},
 			// Reviews quote the same sentences; the cache decodes each once
 			// per build.
-			Cache:        extcache.New(4096),
-			BatchWindow:  *batchWindow,
-			BatchMaxSize: *batchMax,
+			Cache: extcache.New(4096),
 		}
 		src = core.NeuralSource{E: ex}
 	}
@@ -142,21 +138,13 @@ func main() {
 func streamWorld(o *obs.Observer, world *yelp.World, ex *core.Extractor, tags []string, walDir string, publishEvery int) *index.Index {
 	ix := index.New(sim.NewConceptual(), core.DefaultConfig().ThetaIndex)
 	ix.SetObserver(o)
-	extract := func(texts []string) [][]string {
-		out := make([][]string, len(texts))
-		for i, t := range texts {
-			out[i] = ex.ExtractTags(t)
-		}
-		return out
-	}
-
 	start := time.Now()
 	ing, err := ingest.Open(ingest.Config{
 		Dir:             walDir,
 		PublishEvery:    publishEvery,
 		PublishInterval: -1,
 		Obs:             o,
-	}, ix, tags, nil, extract)
+	}, ix, tags, nil, ex.ExtractTexts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ingest open: %v\n", err)
 		os.Exit(1)

@@ -14,8 +14,8 @@ import (
 // as single GEMMs on mat.MatMulInto's fast path; attention, layer norm, GELU,
 // and residuals are per-row or per-sequence and execute exactly the serial
 // InferSeq arithmetic, so each sequence's hidden states are bit-identical to
-// an individual inferArena call. The cross-request extraction batcher
-// (internal/core) relies on that identity to keep batched and solo decodes
+// an individual inferArena call. Batched review extraction (internal/core)
+// relies on that identity to keep batched and solo decodes
 // indistinguishable.
 
 // InferBatchTokensArena tokenizes and encodes several sequences in one

@@ -8,8 +8,8 @@ import (
 	"saccs/internal/tokenize"
 )
 
-// TestInferBatchMatchesSerial pins the core identity the extraction batcher
-// rests on: every sequence's hidden states out of the shared batch forward
+// TestInferBatchMatchesSerial pins the core identity batched review
+// extraction rests on: every sequence's hidden states out of the shared batch forward
 // are bit-identical to a solo InferTokensArena call.
 func TestInferBatchMatchesSerial(t *testing.T) {
 	words := []string{"the", "pasta", "was", "great", "but", "service",

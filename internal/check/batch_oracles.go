@@ -1,23 +1,24 @@
 package check
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 
-	"saccs/internal/bert"
 	"saccs/internal/core"
+	"saccs/internal/corpus"
 	"saccs/internal/extcache"
+	"saccs/internal/lexicon"
 	"saccs/internal/mat"
 	"saccs/internal/obs"
 	"saccs/internal/tagger"
 	"saccs/internal/tokenize"
 )
 
-// Oracles for the inference fast path: the blocked/vectorized GEMM kernels
-// and the cross-request extraction batcher both promise results bit-identical
+// Oracles for the batched inference path: the blocked/vectorized GEMM
+// kernels and batched review extraction both promise results bit-identical
 // to their serial twins. These checks make the promise falsifiable on random
 // inputs, from `make check` and the race-enabled test run.
 
@@ -63,55 +64,82 @@ func GemmBlockedOracle(seed int64) error {
 	return nil
 }
 
-// liveModel builds a small untrained (deterministically initialized)
-// MiniBERT-backed tagger — unlike checkModel's hash encoder, this exercises
-// the real batched forward (bert InferBatchTokensArena + BiLSTM/CRF batch
-// kernels) behind tagger.Model.PredictBatch.
-func liveModel(seed int64, sentences [][]string) *tagger.Model {
-	v := tokenize.NewVocab()
-	for _, s := range sentences {
-		v.AddAll(s)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	enc := bert.New(rng, bert.Config{Layers: 1, Heads: 2, Dim: 16, FFDim: 24, MaxLen: 12}, v)
-	cfg := tagger.DefaultConfig()
-	cfg.Hidden = 8
-	cfg.Seed = seed
-	return tagger.New(enc, cfg)
+// refTagger is the index build's float64 reference view of a trained model
+// whose generation moves on during every fourth shared forward, starting
+// with the second — a retrain's effect on the extraction cache (every entry
+// stale, the overlapped forward's fills discarded) with the weights, and so
+// the predictions, unchanged. It also records the widest forward it served.
+type refTagger struct {
+	tagger.ReferenceView
+	bumps    atomic.Uint64
+	forwards atomic.Int64
+	widest   atomic.Int64
 }
 
-// ExtractBatchLiveOracle checks the cross-request batcher end to end: many
-// goroutines extract concurrently through a batching extractor backed by the
-// real batched MiniBERT+BiLSTM-CRF forward, and every result must be
-// bit-identical to the serial, unbatched pipeline — including callers
-// cancelled mid-stream, which must fail with their context's error and
-// nothing else. Run under -race this also proves the gather protocol free of
-// data races.
-func ExtractBatchLiveOracle(seed int64, goroutines, nSentences int) error {
-	g := NewGen(seed)
-	sentences := make([][]string, nSentences)
-	for i := range sentences {
-		sentences[i] = tokenize.Words(g.Utterance())
+func (r *refTagger) Generation() uint64 { return r.ReferenceView.Generation() + r.bumps.Load() }
+
+func (r *refTagger) PredictBatch(seqs [][]string) [][]tokenize.Label {
+	if r.forwards.Add(1)%4 == 2 {
+		r.bumps.Add(1)
 	}
-	m := liveModel(seed+4, sentences)
+	for n := int64(len(seqs)); ; {
+		w := r.widest.Load()
+		if n <= w || r.widest.CompareAndSwap(w, n) {
+			break
+		}
+	}
+	return r.ReferenceView.PredictBatch(seqs)
+}
+
+// ExtractTextsOracle checks the review-extraction entry point end to end on
+// a trained MiniBERT + BiLSTM-CRF model at the index build's float64
+// reference precision. Texts of two to eight sentences repeat sentences
+// within and across texts; the cache starts warm for a third of the
+// sentences; goroutines call ExtractTexts concurrently on windows of texts
+// while the tagger's generation moves on mid-run. Every result must equal
+// ExtractTags applied to that text by a fresh serial extractor. The cold
+// sentences outnumber one forward's capacity, so at least two forwards run
+// and the generation moves at least once; some forward must also have
+// decoded more than one sequence. Under -race this also proves the entry
+// point free of data races.
+func ExtractTextsOracle(seed int64, goroutines, nTexts int) error {
+	const poolSize = 48
+	cg := corpus.NewGenerator(lexicon.Restaurants(), seed, corpus.Options{})
+	var pool []string
+	seen := map[string]bool{}
+	for tries := 0; len(pool) < poolSize && tries < 50*poolSize; tries++ {
+		if s := strings.Join(cg.Sentence().Tokens, " ") + " ."; !seen[s] {
+			seen[s] = true
+			pool = append(pool, s)
+		}
+	}
+	if len(pool) < poolSize {
+		return fmt.Errorf("extract-texts oracle (seed %d): only %d distinct sentences", seed, len(pool))
+	}
+	// Text i carries pool sentences 2i and 2i+1 (so the texts cover the
+	// pool), then up to three random repeats.
+	rng := rand.New(rand.NewSource(seed))
+	texts := make([]string, nTexts)
+	for i := range texts {
+		sents := []string{pool[2*i%poolSize], pool[(2*i+1)%poolSize]}
+		for n := rng.Intn(4); n > 0; n-- {
+			sents = append(sents, sents[rng.Intn(len(sents))], pool[rng.Intn(poolSize)])
+		}
+		texts[i] = strings.Join(sents, " ")
+	}
+
+	m := quantDriftModel()
 	p := checkPairer()
-
-	serial := &core.Extractor{Tagger: m, Pairer: p}
-	want := make([][]string, nSentences)
-	for i, s := range sentences {
-		want[i] = serial.ExtractFromTokens(s)
+	serial := &core.Extractor{Tagger: tagger.ReferenceView{M: m}, Pairer: p}
+	want := make([][]string, nTexts)
+	for i, t := range texts {
+		want[i] = serial.ExtractTags(t)
 	}
 
-	o := obs.NewObserver()
-	// The window must dwarf one race-slowed decode: the solo bypass treats an
-	// arrival gap wider than the window as sparse traffic, and under -race a
-	// decode (hence the gap between a worker's back-to-back calls) can exceed
-	// a production-sized window, which would solo every request on one CPU.
-	// 20ms keeps the gather engaged; cohort sealing means callers almost never
-	// wait the full window.
-	batched := &core.Extractor{
-		Tagger: m, Pairer: p, Cache: extcache.New(256), Obs: o,
-		BatchWindow: 20 * time.Millisecond, BatchMaxSize: 8,
+	rt := &refTagger{ReferenceView: tagger.ReferenceView{M: m}}
+	batched := &core.Extractor{Tagger: rt, Pairer: p, Cache: extcache.New(256), Obs: obs.NewObserver()}
+	for _, s := range pool[:poolSize/3] {
+		batched.ExtractTags(s)
 	}
 
 	errs := make(chan error, goroutines)
@@ -121,32 +149,15 @@ func ExtractBatchLiveOracle(seed int64, goroutines, nSentences int) error {
 		go func(w int) {
 			defer wg.Done()
 			for pass := 0; pass < 3; pass++ {
-				for k := range sentences {
-					i := (k + w) % len(sentences)
-					text := joinWords(sentences[i])
-					if w == goroutines-1 && pass == 1 {
-						// One caller races cancellation against its cohort:
-						// it must get a context error or the exact serial
-						// tags, and the other members are unaffected.
-						ctx, cancel := context.WithCancel(context.Background())
-						go cancel()
-						got, err := batched.ExtractTagsCtx(ctx, nil, text)
-						if err == nil && DiffStrings("", want[i], got) != nil {
-							errs <- fmt.Errorf("batch-live oracle (seed %d): cancelled caller sentence %d: %v (neither serial tags nor ctx error)",
-								seed, i, got)
+				for lo := 0; lo < nTexts; {
+					hi := min(lo+1+(lo+w+pass)%5, nTexts)
+					for k, tags := range batched.ExtractTexts(texts[lo:hi]) {
+						if err := DiffStrings(fmt.Sprintf("ExtractTexts goroutine %d text %d (seed %d)", w, lo+k, seed), want[lo+k], tags); err != nil {
+							errs <- err
 							return
 						}
-						continue
 					}
-					got, err := batched.ExtractTagsCtx(context.Background(), nil, text)
-					if err != nil {
-						errs <- fmt.Errorf("batch-live oracle (seed %d): goroutine %d sentence %d: %v", seed, w, i, err)
-						return
-					}
-					if derr := DiffStrings(fmt.Sprintf("batched goroutine %d sentence %d (seed %d)", w, i, seed), want[i], got); derr != nil {
-						errs <- derr
-						return
-					}
+					lo = hi
 				}
 			}
 		}(w)
@@ -156,21 +167,9 @@ func ExtractBatchLiveOracle(seed int64, goroutines, nSentences int) error {
 	if err := <-errs; err != nil {
 		return err
 	}
-	if o.Counter("extract.batch.total").Value() == 0 {
-		return fmt.Errorf("batch-live oracle (seed %d): no shared decode ran — the gather protocol never engaged", seed)
+	if rt.bumps.Load() == 0 || rt.widest.Load() < 2 {
+		return fmt.Errorf("extract-texts oracle (seed %d): %d generation bumps, widest forward %d — want >= 1 and >= 2",
+			seed, rt.bumps.Load(), rt.widest.Load())
 	}
 	return nil
-}
-
-// joinWords renders a token sequence back to text for ExtractTagsCtx; the
-// generator's utterances tokenize on single spaces, so this round-trips.
-func joinWords(tokens []string) string {
-	out := ""
-	for i, t := range tokens {
-		if i > 0 {
-			out += " "
-		}
-		out += t
-	}
-	return out
 }

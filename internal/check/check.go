@@ -83,7 +83,7 @@ func DefaultSuite(seed int64) []Check {
 			return GemmBlockedOracle(seed + 14)
 		}},
 		{"oracle/extract-batch-live", func() error {
-			return ExtractBatchLiveOracle(seed+15, 8, 10)
+			return ExtractTextsOracle(seed+15, 8, 24)
 		}},
 		{"oracle/ingest-quiesce", func() error {
 			return IngestQuiesceOracle(seed+16, 90, 8)

@@ -1,329 +1,127 @@
 package core
 
 import (
-	"context"
 	"strings"
-	"time"
 
 	"saccs/internal/obs"
 	"saccs/internal/tokenize"
 )
 
-// Cross-request extraction batching. On a single-CPU box, N concurrent
-// queries gain nothing from running N Viterbi decodes interleaved — the
-// scheduler just time-slices the same serial work and adds switch overhead
-// (the measured 1→4 goroutine QPS regression). What does help is making the
-// concurrency visible to the kernels: decode requests that miss the
-// extraction cache gather into one batch, a single leader runs one padded
-// MiniBERT + BiLSTM-CRF forward over all of them (tagger.Model.PredictBatch,
-// ~3x cheaper per sequence than serial Predict at batch ≥4), and the results
-// fan back to the waiting requests. Batched decoding is bit-identical to
-// serial Predict — the batch kernels replay the serial arithmetic per
-// sequence (internal/nn, internal/bert differential tests) — so batching is
-// invisible in results, goldens, and cache contents.
-//
-// Gather protocol. The first cache-missing request opens a batch and becomes
-// its leader; later requests join it, each enqueuing ALL of its cache-missing
-// sentences at once (a three-sentence utterance contributes three sequences
-// in one join — within-request batching rides on the same cohort). The batch
-// seals — no further joins — at the earliest of:
-//
-//   - a joiner filling it to BatchMaxSize sequences,
-//   - a joiner completing the expected cohort (the recent high-water mark of
-//     concurrent extractions — everyone who could join has joined; waiting
-//     longer is pure latency), or
-//   - the leader's gather window (BatchWindow) expiring.
-//
-// The sealed leader decodes the gathered sequences in shared forwards of at
-// most BatchMaxSize each and publishes the labels; each request then
-// finishes its own pipeline tails — pairing, tag rendering,
-// generation-checked cache fill — exactly as the serial path would, in its
-// own sentence order. Duplicate sentences occupy one batch slot and fan out
-// to all their waiters.
-//
-// Cancellation cannot poison a batch. A waiter whose context dies while
-// enqueued abandons the batch (its sequence still decodes; its result is
-// simply never read) and returns ctx.Err() with no cache fill. A leader
-// whose context dies during the gather still seals and decodes the batch —
-// the joined waiters depend on it — and only then returns its own error.
-//
-// A solo request pays no gather latency: when nothing else is in flight,
-// nothing has been for a few windows (hysteresis), and the previous decode
-// request arrived more than a window ago (arrival-gap burst detection — a
-// 1-CPU scheduler admits a burst one request at a time, so an in-flight
-// count of 1 does not mean load is gone), the request decodes serially on
-// the spot.
+// Review extraction in batches. The indexer knows every sentence of a
+// review set before it decodes any of them, so it can hand them to the
+// tagger together: one padded MiniBERT + BiLSTM-CRF forward over many
+// sequences (tagger.Model.PredictBatch) shares the GEMMs that a serial loop
+// would run once per sentence. Batched decoding is bit-identical to serial
+// Predict — the batch kernels replay the serial arithmetic per sequence
+// (internal/nn, internal/bert differential tests) — so batching is
+// invisible in results, goldens and cache contents. The query path decodes
+// one utterance at a time and stays serial (ExtractTagsCtx).
 
 // BatchTagger is a Tagger that can decode several sequences in one shared
 // forward pass, each result bit-identical to a solo Predict; tagger.Model
-// satisfies it. The cross-request batcher engages only for taggers that do.
+// and tagger.ReferenceView satisfy it.
 type BatchTagger interface {
 	Tagger
 	PredictBatch(seqs [][]string) [][]tokenize.Label
 }
 
-// soloHysteresisWindows is how long after the last observed concurrency a
-// lone request keeps batching (in units of BatchWindow) instead of decoding
-// solo. On one CPU, cohort members enter the extractor one at a time — an
-// instantaneous in-flight count of 1 does not mean load is gone.
-const soloHysteresisWindows = 16
+// maxForward caps the sequences one shared forward decodes. Past it the
+// per-sequence saving flattens while the forward's arena, and with it the
+// process's peak memory, keeps growing.
+const maxForward = 8
 
-// extractBatch is one gather cohort: the sequences collected during a
-// window, keyed for duplicate folding, and the decode results its waiters
-// read after done closes.
-type extractBatch struct {
-	keys    map[string]int // sentence key -> slot in seqs
-	seqs    [][]string
-	callers int // requests gathered, each contributing >= 1 sequence
-	opened  time.Time
-
-	full chan struct{} // closed by the joiner that seals the batch
-	done chan struct{} // closed by the leader once labels/gen are set
-
-	labels [][]tokenize.Label
-	gen    uint64
-	genOK  bool
-}
-
-// batchingEnabled reports whether cross-request batching is configured and
-// the tagger supports shared forwards.
-func (e *Extractor) batchingEnabled() (BatchTagger, bool) {
-	if e.BatchWindow <= 0 || e.BatchMaxSize < 2 {
-		return nil, false
-	}
-	bt, ok := e.Tagger.(BatchTagger)
-	return bt, ok
-}
-
-// extractSentencesBatched is the decode entry of the context-aware path with
-// batching configured: per-sentence cache lookups, then one batched (or
-// serial, under the solo bypass) decode of every cache-missing sentence,
-// then the shared per-sentence pipeline tails in sentence order. Results are
-// bit-identical to running ExtractFromTokensTraced per sentence.
-func (e *Extractor) extractSentencesBatched(ctx context.Context, parent *obs.Span, bt BatchTagger, sentences []string) ([][]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var tg Generationer
-	if e.Cache != nil {
-		tg, _ = e.Tagger.(Generationer)
-	}
-	out := make([][]string, len(sentences))
-	type missed struct {
-		idx    int
+// ExtractTexts extracts subjective tags from several texts at once — the
+// review-indexing entry point. Result i equals ExtractTags(texts[i]): the
+// tags of each sentence in sentence order, deduplicated per text.
+//
+// Sentences served by the cache are not decoded. The remaining sentences of
+// all texts, duplicates folded into one slot, decode together in the fewest
+// balanced BatchTagger forwards of at most maxForward sequences (a Tagger
+// that cannot batch decodes them one by one). Each decoded sentence then
+// runs the serial path's pairing tail and generation-checked cache fill.
+func (e *Extractor) ExtractTexts(texts []string) [][]string {
+	tg := e.cacheGen()
+	type pending struct {
 		tokens []string
 		key    string
+		tags   []string
 	}
-	var misses []missed
-	for i, sent := range sentences {
-		tokens := tokenize.Words(sent)
-		key := strings.Join(tokens, "\x1f")
-		if tg != nil {
-			if tags, hit := e.Cache.Get(tg.Generation(), key); hit {
-				st := obs.BeginStage(e.Obs, parent, "tagger.decode")
-				st.Span().Set("tokens", len(tokens)).Set("cached", 1)
-				st.End()
-				st = obs.BeginStage(e.Obs, parent, "pairing.pairs")
-				st.Span().Set("cached", 1)
-				st.End()
-				out[i] = tags
-				continue
+	var misses []pending
+	slot := map[string]int{} // sentence key -> index in misses
+	perText := make([][][]string, len(texts))
+	type ref struct{ text, sent, miss int }
+	var refs []ref
+	for i, text := range texts {
+		sentences := tokenize.Sentences(text)
+		perText[i] = make([][]string, len(sentences))
+		for j, sent := range sentences {
+			tokens := tokenize.Words(sent)
+			key := strings.Join(tokens, "\x1f")
+			if tg != nil {
+				if tags, hit := e.cacheHit(nil, tg.Generation(), tokens, key); hit {
+					perText[i][j] = tags
+					continue
+				}
 			}
+			k, dup := slot[key]
+			if !dup {
+				k = len(misses)
+				slot[key] = k
+				misses = append(misses, pending{tokens: tokens, key: key})
+			}
+			refs = append(refs, ref{i, j, k})
 		}
-		misses = append(misses, missed{i, tokens, key})
-	}
-	if len(misses) == 0 {
-		return out, nil
 	}
 
-	n := e.inflight.Add(1)
-	defer e.inflight.Add(-1)
-	now := time.Now()
-	// Two load signals decide between decoding solo and gathering. The
-	// in-flight count (with hysteresis) sees requests that overlap in time.
-	// The arrival gap sees bursts a single CPU serializes before they can
-	// overlap: when the previous decode request arrived less than a window
-	// ago, traffic is dense enough that opening a batch — whose leader wait
-	// yields the processor to exactly those queued requests — wins even
-	// though nothing is concurrent at this instant.
-	arriveGap := now.UnixNano() - e.lastArrive.Swap(now.UnixNano())
-	if n >= e.hwInflight.Load() {
-		// Refresh the concurrency high-water mark (benignly racy: any
-		// interleaving still records a recently observed level).
-		e.hwInflight.Store(n)
-		e.hwStamp.Store(now.UnixNano())
-	}
-	if n >= 2 {
-		e.lastMulti.Store(now.UnixNano())
-	} else if arriveGap > int64(e.BatchWindow) &&
-		now.Sub(time.Unix(0, e.lastMulti.Load())) > soloHysteresisWindows*e.BatchWindow {
-		// Nothing else in flight and nothing recently: skip the gather
-		// window entirely and decode sentence by sentence, exactly as the
-		// unbatched path. The serial and batched decodes are bit-identical,
-		// so the choice is invisible beyond latency.
-		for _, m := range misses {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	if len(misses) > 0 {
+		// Split into the fewest forwards of at most maxForward, balanced so
+		// no forward is left with a tiny remainder (9 sequences decode as
+		// 5+4, not 8+1).
+		chunks := (len(misses) + maxForward - 1) / maxForward
+		per := (len(misses) + chunks - 1) / chunks
+		seqs := make([][]string, 0, per)
+		for off := 0; off < len(misses); off += per {
+			end := min(off+per, len(misses))
+			seqs = seqs[:0]
+			for _, m := range misses[off:end] {
+				seqs = append(seqs, m.tokens)
 			}
 			var gen uint64
 			if tg != nil {
 				gen = tg.Generation()
 			}
-			st := obs.BeginStage(e.Obs, parent, "tagger.decode")
-			labels := e.Tagger.Predict(m.tokens)
-			st.Span().Set("tokens", len(m.tokens))
+			st := obs.BeginStage(e.Obs, nil, "tagger.decode")
+			labels := e.predictBatch(seqs)
 			st.End()
-			if e.Obs != nil {
-				e.Obs.Counter("extract.batch.solo.total").Inc()
-			}
+			// Fills are valid only if no retrain overlapped the shared
+			// decode — the same bracket the serial path puts around Predict.
 			genOK := tg != nil && tg.Generation() == gen
-			out[m.idx] = e.finishExtract(parent, m.tokens, labels, gen, genOK, m.key)
+			for k := off; k < end; k++ {
+				m := &misses[k]
+				m.tags = e.finishExtract(nil, m.tokens, labels[k-off], gen, genOK, m.key)
+			}
 		}
-		return out, nil
+		for _, r := range refs {
+			perText[r.text][r.sent] = misses[r.miss].tags
+		}
 	}
 
-	totalTokens := 0
-	for _, m := range misses {
-		totalTokens += len(m.tokens)
+	out := make([][]string, len(texts))
+	for i, sents := range perText {
+		out[i] = dedupTags(sents)
 	}
-	st := obs.BeginStage(e.Obs, parent, "tagger.decode")
-	st.Span().Set("tokens", totalTokens).Set("sentences", len(misses)).Set("batched", 1)
-	seqs := make([][]string, len(misses))
-	keys := make([]string, len(misses))
-	for j, m := range misses {
-		seqs[j], keys[j] = m.tokens, m.key
-	}
-	b, slots, leader := e.joinBatch(keys, seqs, now)
-	if leader {
-		e.leadBatch(ctx, bt, b)
-		// The batch is decoded regardless — joined waiters depend on it —
-		// but a leader whose context died during the gather still fails
-		// its own request, with no partial result.
-		if err := ctx.Err(); err != nil {
-			st.EndErr(err)
-			return nil, err
-		}
-	} else {
-		select {
-		case <-b.done:
-		case <-ctx.Done():
-			// Abandon the cohort: the batch completes for the others, this
-			// request's slots simply go unread and nothing is cached for
-			// them here.
-			st.EndErr(ctx.Err())
-			return nil, ctx.Err()
-		}
-	}
-	st.End()
-	for j, m := range misses {
-		out[m.idx] = e.finishExtract(parent, m.tokens, b.labels[slots[j]], b.gen, b.genOK && tg != nil, m.key)
-	}
-	return out, nil
+	return out
 }
 
-// joinBatch adds one caller's cache-missing sentences to the open batch
-// (starting one if needed) and returns the batch, each sentence's result
-// slot, and whether the caller is the leader. The joiner that fills the
-// batch to BatchMaxSize sequences, or that completes the expected cohort
-// (sealTarget callers), seals it.
-func (e *Extractor) joinBatch(keys []string, seqs [][]string, now time.Time) (*extractBatch, []int, bool) {
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	b := e.batchCur
-	leader := b == nil
-	if leader {
-		b = &extractBatch{
-			keys:   make(map[string]int, e.BatchMaxSize),
-			opened: now,
-			full:   make(chan struct{}),
-			done:   make(chan struct{}),
-		}
-		e.batchCur = b
+// predictBatch decodes seqs in one shared forward when the tagger supports
+// it, and one sequence at a time otherwise.
+func (e *Extractor) predictBatch(seqs [][]string) [][]tokenize.Label {
+	if bt, ok := e.Tagger.(BatchTagger); ok {
+		return bt.PredictBatch(seqs)
 	}
-	slots := make([]int, len(keys))
-	for j, key := range keys {
-		slot, dup := b.keys[key]
-		if !dup {
-			slot = len(b.seqs)
-			b.keys[key] = slot
-			b.seqs = append(b.seqs, seqs[j])
-		}
-		slots[j] = slot
+	out := make([][]tokenize.Label, len(seqs))
+	for i, s := range seqs {
+		out[i] = e.Tagger.Predict(s)
 	}
-	b.callers++
-	if !leader && (len(b.seqs) >= e.BatchMaxSize || int64(b.callers) >= e.sealTarget(now)) {
-		e.batchCur = nil
-		close(b.full)
-	}
-	return b, slots, leader
-}
-
-// sealTarget is the cohort size a gathering batch waits for: the recent
-// high-water mark of the in-flight count. The instantaneous count alone
-// seals one short whenever a steady requester is momentarily between
-// queries — ranking or parsing when its peers join — which shrinks every
-// cohort and its decode sharing. A high-water mark not re-observed within
-// the hysteresis horizon is stale (a requester left for good): fall back to
-// the live count rather than stall every batch on the window timer.
-func (e *Extractor) sealTarget(now time.Time) int64 {
-	if now.Sub(time.Unix(0, e.hwStamp.Load())) <= soloHysteresisWindows*e.BatchWindow {
-		return e.hwInflight.Load()
-	}
-	n := e.inflight.Load()
-	e.hwInflight.Store(n)
-	e.hwStamp.Store(now.UnixNano())
-	return n
-}
-
-// leadBatch gathers until the batch seals or the window expires, decodes
-// the gathered sequences in shared forwards of at most BatchMaxSize each,
-// and publishes the results. (A cohort can gather more than BatchMaxSize
-// sequences — each joiner enqueues all its sentences at once — so the cap
-// bounds the forward, not the cohort.)
-func (e *Extractor) leadBatch(ctx context.Context, bt BatchTagger, b *extractBatch) {
-	timer := time.NewTimer(e.BatchWindow)
-	select {
-	case <-b.full:
-	case <-timer.C:
-	case <-ctx.Done():
-	}
-	timer.Stop()
-	e.batchMu.Lock()
-	if e.batchCur == b {
-		e.batchCur = nil
-	}
-	e.batchMu.Unlock()
-
-	var tg Generationer
-	if e.Cache != nil {
-		tg, _ = e.Tagger.(Generationer)
-	}
-	if tg != nil {
-		b.gen = tg.Generation()
-	}
-	if e.Obs != nil {
-		e.Obs.Histogram("extract.batch.wait").ObserveSince(b.opened)
-	}
-	// Split the cohort into the fewest forwards of at most BatchMaxSize,
-	// balanced so no forward is left with a tiny remainder (9 sequences at
-	// cap 8 decode as 5+4, not 8+1 — a near-empty forward wastes the whole
-	// point of sharing).
-	chunks := (len(b.seqs) + e.BatchMaxSize - 1) / e.BatchMaxSize
-	per := (len(b.seqs) + chunks - 1) / chunks
-	b.labels = make([][]tokenize.Label, 0, len(b.seqs))
-	for off := 0; off < len(b.seqs); off += per {
-		end := off + per
-		if end > len(b.seqs) {
-			end = len(b.seqs)
-		}
-		b.labels = append(b.labels, bt.PredictBatch(b.seqs[off:end])...)
-		if e.Obs != nil {
-			e.Obs.Histogram("extract.batch.size").Observe(time.Duration(end - off))
-			e.Obs.Counter("extract.batch.total").Inc()
-		}
-	}
-	// Fills are valid only if no retrain overlapped the shared decodes —
-	// the same bracket the serial path puts around its solo Predict.
-	b.genOK = tg != nil && tg.Generation() == b.gen
-	close(b.done)
+	return out
 }

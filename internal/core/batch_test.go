@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"saccs/internal/extcache"
 	"saccs/internal/pairing"
@@ -17,8 +14,8 @@ import (
 // stubBatchTagger is a deterministic BatchTagger with test hooks: it labels
 // the first two tokens of a sentence opinion/aspect (so every distinct
 // sentence yields the distinct tag "tok0 tok1"), counts serial and batched
-// decodes, and can block inside PredictBatch or run a hook there (to model a
-// retrain overlapping the shared decode).
+// decodes, and can run a hook inside PredictBatch (to model a retrain
+// overlapping the shared decode).
 type stubBatchTagger struct {
 	gen     atomic.Uint64
 	serial  atomic.Int64
@@ -26,8 +23,7 @@ type stubBatchTagger struct {
 		sync.Mutex
 		sizes []int
 	}
-	block    chan struct{} // when non-nil, PredictBatch waits for close
-	onDecode func()        // when non-nil, runs inside PredictBatch
+	onDecode func() // when non-nil, runs inside PredictBatch
 }
 
 func (s *stubBatchTagger) label(tokens []string) []tokenize.Label {
@@ -44,9 +40,6 @@ func (s *stubBatchTagger) Predict(tokens []string) []tokenize.Label {
 }
 
 func (s *stubBatchTagger) PredictBatch(seqs [][]string) [][]tokenize.Label {
-	if s.block != nil {
-		<-s.block
-	}
 	if s.onDecode != nil {
 		s.onDecode()
 	}
@@ -82,238 +75,109 @@ func (allPairs) Pairs(tokens []string, aspects, opinions []tokenize.Span) []pair
 	return out
 }
 
-// batchExtractor returns an extractor wired for cross-request batching with
-// the stub tagger. The solo-bypass hysteresis is pre-armed (lastMulti set to
-// now) so the first caller batches instead of decoding serially — tests
-// control concurrency explicitly.
-func batchExtractor(window time.Duration, maxSize int, st *stubBatchTagger) *Extractor {
-	e := &Extractor{
-		Tagger:       st,
-		Pairer:       allPairs{},
-		Cache:        extcache.New(64),
-		BatchWindow:  window,
-		BatchMaxSize: maxSize,
-	}
-	e.lastMulti.Store(time.Now().UnixNano())
-	return e
+// batchExtractor returns a caching extractor over the stub tagger.
+func batchExtractor(st *stubBatchTagger) *Extractor {
+	return &Extractor{Tagger: st, Pairer: allPairs{}, Cache: extcache.New(64)}
 }
 
-// TestBatchedExtractMatchesSerial runs many concurrent extractions through
-// the gather window and checks every result equals the serial path's.
+// TestBatchedExtractMatchesSerial checks ExtractTexts against ExtractTags
+// applied per text, over multi-sentence texts with repeats inside and across
+// texts, and checks the misses decode in balanced forwards of at most
+// maxForward sequences.
 func TestBatchedExtractMatchesSerial(t *testing.T) {
 	st := &stubBatchTagger{}
-	e := batchExtractor(2*time.Millisecond, 8, st)
+	e := batchExtractor(st)
 	serial := &Extractor{Tagger: &stubBatchTagger{}, Pairer: allPairs{}}
 
-	texts := make([]string, 16)
+	texts := make([]string, 17)
 	for i := range texts {
-		texts[i] = fmt.Sprintf("lovely meal%d and shiny table%d", i, i)
+		texts[i] = fmt.Sprintf("lovely meal%d here. shiny meal%d there. lovely meal%d here.", i, (i+1)%len(texts), i)
 	}
-	got := make([][]string, len(texts))
-	var wg sync.WaitGroup
-	for i, txt := range texts {
-		wg.Add(1)
-		go func(i int, txt string) {
-			defer wg.Done()
-			tags, err := e.ExtractTagsCtx(context.Background(), nil, txt)
-			if err != nil {
-				t.Errorf("extract %d: %v", i, err)
-			}
-			got[i] = tags
-		}(i, txt)
+	got := e.ExtractTexts(texts)
+	if len(got) != len(texts) {
+		t.Fatalf("%d results for %d texts", len(got), len(texts))
 	}
-	wg.Wait()
 	for i, txt := range texts {
-		want, _ := serial.ExtractTagsCtx(context.Background(), nil, txt)
-		if fmt.Sprint(got[i]) != fmt.Sprint(want) {
+		if want := serial.ExtractTags(txt); fmt.Sprint(got[i]) != fmt.Sprint(want) {
 			t.Fatalf("text %d: batched %v, serial %v", i, got[i], want)
 		}
 	}
-	if sizes := st.batchSizes(); len(sizes) == 0 {
-		t.Fatal("no batched decode ran; every request went serial")
+	// 34 distinct sentences: five balanced forwards, not 8+8+8+8+2.
+	if sizes := st.batchSizes(); fmt.Sprint(sizes) != "[7 7 7 7 6]" {
+		t.Fatalf("forward sizes = %v, want [7 7 7 7 6]", sizes)
 	}
-}
-
-// TestBatchCancelledWaiterDoesNotPoisonBatch pins the cancellation contract:
-// a waiter whose context dies mid-batch gets ctx's error immediately and
-// leaves no cache entry, while the batch completes for the other members.
-func TestBatchCancelledWaiterDoesNotPoisonBatch(t *testing.T) {
-	st := &stubBatchTagger{block: make(chan struct{})}
-	e := batchExtractor(time.Second, 4, st)
-
-	leaderDone := make(chan []string, 1)
-	go func() {
-		tags, err := e.ExtractTagsCtx(context.Background(), nil, "delicious food here")
-		if err != nil {
-			t.Errorf("leader: %v", err)
-		}
-		leaderDone <- tags
-	}()
-	// Wait for the leader to open the batch.
-	waitFor(t, func() bool { return e.inflight.Load() == 1 })
-
-	ctx, cancel := context.WithCancel(context.Background())
-	waiterDone := make(chan error, 1)
-	go func() {
-		_, err := e.ExtractTagsCtx(ctx, nil, "nice staff there")
-		waiterDone <- err
-	}()
-	// The waiter joins, seals the batch (2 sequences = 2 in flight), and the
-	// leader enters the blocked PredictBatch. Cancel the waiter while the
-	// shared decode is in progress.
-	waitFor(t, func() bool { return e.inflight.Load() == 2 })
-	time.Sleep(time.Millisecond)
-	cancel()
-	select {
-	case err := <-waiterDone:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled waiter did not return while the batch was blocked")
+	if n := st.serial.Load(); n != 0 {
+		t.Fatalf("%d serial decodes; a BatchTagger must decode in shared forwards", n)
 	}
 
-	close(st.block)
-	select {
-	case tags := <-leaderDone:
-		if fmt.Sprint(tags) != "[delicious food]" {
-			t.Fatalf("leader tags = %v, want [delicious food]", tags)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("leader did not complete after the decode unblocked")
+	// A second call is served from the cache and decodes nothing.
+	again := e.ExtractTexts(texts)
+	if fmt.Sprint(again) != fmt.Sprint(got) {
+		t.Fatalf("cached call differs: %v, first %v", again, got)
 	}
-
-	// The leader's sentence was cached; the cancelled waiter's was not (its
-	// pipeline tail never ran — zero side effects).
-	if _, ok := e.Cache.Get(0, "delicious\x1ffood\x1fhere"); !ok {
-		t.Fatal("leader's sentence missing from cache")
-	}
-	if _, ok := e.Cache.Get(0, "nice\x1fstaff\x1fthere"); ok {
-		t.Fatal("cancelled waiter's sentence was cached")
-	}
-	if sizes := st.batchSizes(); len(sizes) != 1 || sizes[0] != 2 {
-		t.Fatalf("batch sizes = %v, want [2] (batch completed with both members)", sizes)
+	if sizes := st.batchSizes(); len(sizes) != 5 {
+		t.Fatalf("cached call decoded again: forward sizes %v", sizes)
 	}
 }
 
 // TestBatchGenSwapDiscardsFills pins the retrain-overlap contract: a
-// generation bump during the shared decode (a Train starting mid-batch)
-// discards every cache fill from that batch, exactly as the serial path
+// generation bump during the shared decode (a Train starting mid-forward)
+// discards every cache fill from that forward, exactly as the serial path
 // discards a decode a Train overlapped.
 func TestBatchGenSwapDiscardsFills(t *testing.T) {
 	st := &stubBatchTagger{}
 	st.onDecode = func() { st.gen.Add(1) }
-	e := batchExtractor(time.Millisecond, 4, st)
+	e := batchExtractor(st)
 
-	tags, err := e.ExtractTagsCtx(context.Background(), nil, "delicious food here")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(tags) != "[delicious food]" {
-		t.Fatalf("tags = %v despite gen bump (results must still be served)", tags)
+	texts := []string{"delicious food here", "nice staff there"}
+	got := e.ExtractTexts(texts)
+	if fmt.Sprint(got) != "[[delicious food] [nice staff]]" {
+		t.Fatalf("tags = %v despite gen bump (results must still be served)", got)
 	}
 	if e.Cache.Len() != 0 {
-		t.Fatalf("cache has %d entries; a mid-batch generation bump must discard fills", e.Cache.Len())
+		t.Fatalf("cache has %d entries; a mid-forward generation bump must discard fills", e.Cache.Len())
 	}
 
 	// With a stable generation the same extraction is cached.
 	st.onDecode = nil
-	if _, err := e.ExtractTagsCtx(context.Background(), nil, "delicious food here"); err != nil {
-		t.Fatal(err)
-	}
-	if e.Cache.Len() != 1 {
-		t.Fatalf("cache has %d entries after stable-generation decode, want 1", e.Cache.Len())
+	e.ExtractTexts(texts)
+	if e.Cache.Len() != 2 {
+		t.Fatalf("cache has %d entries after stable-generation decode, want 2", e.Cache.Len())
 	}
 }
 
-// TestBatchDedupSharesSlot checks duplicate sentences occupy one batch slot
-// and still answer every waiter.
+// TestBatchDedupSharesSlot checks duplicate sentences occupy one forward
+// slot and still answer every text.
 func TestBatchDedupSharesSlot(t *testing.T) {
 	st := &stubBatchTagger{}
-	e := batchExtractor(5*time.Millisecond, 8, st)
-	e.Cache = nil // force every request through the batcher
+	e := batchExtractor(st)
+	e.Cache = nil // dedup must not depend on the cache
 
-	const callers = 6
-	var wg sync.WaitGroup
-	results := make([][]string, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], _ = e.ExtractTagsCtx(context.Background(), nil, "delicious food here")
-		}(i)
+	texts := make([]string, 6)
+	for i := range texts {
+		texts[i] = "delicious food here. delicious food here."
 	}
-	wg.Wait()
-	for i, r := range results {
+	for i, r := range e.ExtractTexts(texts) {
 		if fmt.Sprint(r) != "[delicious food]" {
-			t.Fatalf("caller %d got %v", i, r)
+			t.Fatalf("text %d got %v", i, r)
 		}
 	}
-	for _, n := range st.batchSizes() {
-		if n != 1 {
-			t.Fatalf("duplicate sentences occupied %d slots, want 1", n)
-		}
+	if sizes := st.batchSizes(); fmt.Sprint(sizes) != "[1]" {
+		t.Fatalf("forward sizes = %v, want [1] (duplicates share one slot)", sizes)
 	}
 }
 
-// TestBatchSoloBypass checks a lone request with no recent concurrency skips
-// the gather window and decodes serially.
-func TestBatchSoloBypass(t *testing.T) {
+// TestExtractTextsSerialTagger checks a Tagger without shared forwards
+// decodes each miss on its own and still matches ExtractTags.
+func TestExtractTextsSerialTagger(t *testing.T) {
 	st := &stubBatchTagger{}
-	e := &Extractor{
-		Tagger:       st,
-		Pairer:       allPairs{},
-		BatchWindow:  time.Hour, // a non-bypassed request would hang here
-		BatchMaxSize: 8,
+	e := &Extractor{Tagger: struct{ Tagger }{st}, Pairer: allPairs{}}
+	texts := []string{"delicious food here. nice staff there.", "", "nice staff there."}
+	got := e.ExtractTexts(texts)
+	if fmt.Sprint(got) != "[[delicious food nice staff] [] [nice staff]]" {
+		t.Fatalf("tags = %v", got)
 	}
-	done := make(chan struct{})
-	go func() {
-		if _, err := e.ExtractTagsCtx(context.Background(), nil, "delicious food here"); err != nil {
-			t.Errorf("solo extract: %v", err)
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("solo request waited on the gather window")
-	}
-	if st.serial.Load() != 1 || len(st.batchSizes()) != 0 {
-		t.Fatalf("solo request: serial=%d batches=%v, want one serial decode",
-			st.serial.Load(), st.batchSizes())
-	}
-}
-
-// TestBatchDisabledByZeroConfig checks the house convention: an explicit
-// zero in either knob disables batching entirely.
-func TestBatchDisabledByZeroConfig(t *testing.T) {
-	for _, cfg := range []struct{ window, max int }{{0, 8}, {250, 0}, {250, 1}} {
-		st := &stubBatchTagger{}
-		e := &Extractor{
-			Tagger:       st,
-			Pairer:       allPairs{},
-			BatchWindow:  time.Duration(cfg.window) * time.Microsecond,
-			BatchMaxSize: cfg.max,
-		}
-		e.lastMulti.Store(time.Now().UnixNano()) // would batch if enabled
-		if _, err := e.ExtractTagsCtx(context.Background(), nil, "delicious food here"); err != nil {
-			t.Fatal(err)
-		}
-		if st.serial.Load() != 1 || len(st.batchSizes()) != 0 {
-			t.Fatalf("window=%dµs max=%d: serial=%d batches=%v, want serial only",
-				cfg.window, cfg.max, st.serial.Load(), st.batchSizes())
-		}
-	}
-}
-
-// waitFor polls cond until it holds or the test deadline budget is spent.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached")
-		}
-		time.Sleep(100 * time.Microsecond)
+	if n := st.serial.Load(); n != 2 || len(st.batchSizes()) != 0 {
+		t.Fatalf("serial=%d forwards=%v, want 2 serial decodes", n, st.batchSizes())
 	}
 }

@@ -91,31 +91,6 @@ type Extractor struct {
 	// Obs, when set, records tagging and pairing latency histograms. Set it
 	// before use; it must not change while extractions are in flight.
 	Obs *obs.Observer
-	// BatchWindow and BatchMaxSize configure cross-request decode batching
-	// on the context-aware path (see batch.go): concurrent cache-missing
-	// sentences gather for up to BatchWindow, and one shared forward decodes
-	// up to BatchMaxSize of them, bit-identically to serial decoding. An
-	// explicit zero in either (the zero value) disables batching, as does a
-	// Tagger that is not a BatchTagger. Set both before use; they must not
-	// change while extractions are in flight.
-	BatchWindow  time.Duration
-	BatchMaxSize int
-
-	// Gather state (batch.go): the open cohort, the in-flight extraction
-	// count, and the load signals gating the solo bypass — the last instant
-	// two extractions overlapped, and the last decode-request arrival
-	// (burst detection for schedulers that admit requests one at a time).
-	// hwInflight/hwStamp track the recent high-water mark of the in-flight
-	// count: the seal target for a gathering batch, so a requester that is
-	// momentarily between queries (ranking, parsing) still gets a slot in
-	// the cohort it is about to rejoin.
-	batchMu    sync.Mutex
-	batchCur   *extractBatch
-	inflight   atomic.Int64
-	lastMulti  atomic.Int64
-	lastArrive atomic.Int64
-	hwInflight atomic.Int64
-	hwStamp    atomic.Int64
 }
 
 // ExtractFromTokens extracts subjective tags from one tokenized sentence.
@@ -131,21 +106,12 @@ func (e *Extractor) ExtractFromTokens(tokens []string) []string {
 func (e *Extractor) ExtractFromTokensTraced(parent *obs.Span, tokens []string) []string {
 	var gen uint64
 	var key string
-	var tg Generationer
-	if e.Cache != nil {
-		if g, ok := e.Tagger.(Generationer); ok {
-			tg = g
-			gen = g.Generation()
-			key = strings.Join(tokens, "\x1f")
-			if tags, ok := e.Cache.Get(gen, key); ok {
-				st := obs.BeginStage(e.Obs, parent, "tagger.decode")
-				st.Span().Set("tokens", len(tokens)).Set("cached", 1)
-				st.End()
-				st = obs.BeginStage(e.Obs, parent, "pairing.pairs")
-				st.Span().Set("cached", 1)
-				st.End()
-				return tags
-			}
+	tg := e.cacheGen()
+	if tg != nil {
+		gen = tg.Generation()
+		key = strings.Join(tokens, "\x1f")
+		if tags, ok := e.cacheHit(parent, gen, tokens, key); ok {
+			return tags
 		}
 	}
 	st := obs.BeginStage(e.Obs, parent, "tagger.decode")
@@ -158,6 +124,34 @@ func (e *Extractor) ExtractFromTokensTraced(parent *obs.Span, tokens []string) [
 	// rather than cached under the pre-train generation.
 	genOK := tg != nil && tg.Generation() == gen
 	return e.finishExtract(parent, tokens, labels, gen, genOK, key)
+}
+
+// cacheGen returns the tagger's generation source when extraction results
+// are cached, and nil when they are not (no cache, or a tagger without a
+// weight generation).
+func (e *Extractor) cacheGen() Generationer {
+	if e.Cache == nil {
+		return nil
+	}
+	tg, _ := e.Tagger.(Generationer)
+	return tg
+}
+
+// cacheHit serves a sentence from the cache under generation gen. A hit
+// emits the same two stage spans a decode would, marked "cached", so trace
+// shapes and stage histograms do not depend on caching.
+func (e *Extractor) cacheHit(parent *obs.Span, gen uint64, tokens []string, key string) ([]string, bool) {
+	tags, ok := e.Cache.Get(gen, key)
+	if !ok {
+		return nil, false
+	}
+	st := obs.BeginStage(e.Obs, parent, "tagger.decode")
+	st.Span().Set("tokens", len(tokens)).Set("cached", 1)
+	st.End()
+	st = obs.BeginStage(e.Obs, parent, "pairing.pairs")
+	st.Span().Set("cached", 1)
+	st.End()
+	return tags, true
 }
 
 // finishExtract is the post-decode tail shared by the serial and batched
@@ -251,30 +245,22 @@ func (e *Extractor) ExtractTagsTraced(parent *obs.Span, text string) []string {
 // context is polled before each sentence's decode, so a cancelled or expired
 // context aborts with ctx's error and no partial tag list. (A single
 // sentence's Viterbi decode is not interruptible — stage boundaries are the
-// cancellation points.) With batching configured (BatchWindow/BatchMaxSize)
-// the caller's cache-missing sentences are enqueued together into the gather
-// window and share decode forwards with concurrent callers — see batch.go; a
-// caller cancelled while enqueued returns ctx's error without disturbing its
-// cohort. Batched and serial decoding are bit-identical, so the tag list is
-// the same either way.
+// cancellation points.)
 func (e *Extractor) ExtractTagsCtx(ctx context.Context, parent *obs.Span, text string) ([]string, error) {
 	sentences := tokenize.Sentences(text)
-	var perSent [][]string
-	if bt, ok := e.batchingEnabled(); ok {
-		var err error
-		perSent, err = e.extractSentencesBatched(ctx, parent, bt, sentences)
-		if err != nil {
+	perSent := make([][]string, 0, len(sentences))
+	for _, sent := range sentences {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	} else {
-		perSent = make([][]string, 0, len(sentences))
-		for _, sent := range sentences {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			perSent = append(perSent, e.ExtractFromTokensTraced(parent, tokenize.Words(sent)))
-		}
+		perSent = append(perSent, e.ExtractFromTokensTraced(parent, tokenize.Words(sent)))
 	}
+	return dedupTags(perSent), nil
+}
+
+// dedupTags flattens per-sentence tag lists in sentence order, keeping the
+// first occurrence of each tag.
+func dedupTags(perSent [][]string) []string {
 	var tags []string
 	seen := map[string]bool{}
 	for _, stags := range perSent {
@@ -285,7 +271,7 @@ func (e *Extractor) ExtractTagsCtx(ctx context.Context, parent *obs.Span, text s
 			}
 		}
 	}
-	return tags, nil
+	return tags
 }
 
 // ReviewTagSource yields subjective tags for a review. NeuralSource runs the

@@ -1,8 +1,6 @@
 package mat
 
-import "sync"
-
-// Cache-blocked, register-tiled matrix-multiply kernels for the batched
+// Cache-blocked matrix-multiply kernels for the batched
 // inference fast path (internal/nn, internal/bert).
 //
 // Exactness contract: for every output element, products are accumulated in
@@ -13,149 +11,19 @@ import "sync"
 // associative and splitting it would change per-element results. The
 // differential oracle oracle/gemm-blocked in internal/check pins this.
 //
-// Why tiling helps at all on a scalar CPU: MulVec's single-accumulator dot
+// Why blocking helps at all on a scalar CPU: MulVec's single-accumulator dot
 // loop is serialized on floating-point add latency (~4 cycles per element);
-// computing a 2×4 tile of outputs keeps 8 independent accumulator chains in
-// flight, so the same multiply-adds retire at throughput rather than
-// latency. The win is instruction-level parallelism, not vectorization, and
-// it costs nothing in exactness because each accumulator still sums its own
-// element's products in k order.
+// MatMulInto's inner loop instead updates a panel of independent output
+// elements for two rows of A at once, so the same multiply-adds retire at
+// throughput rather than latency. The win is instruction-level parallelism,
+// not vectorization, and it costs nothing in exactness because each output
+// element still sums its own products in k order.
 
 const (
-	// gemmColBlock bounds the panel of B columns (rows of Bᵀ) processed per
-	// pass so the panel stays cache-resident while the A rows stream by.
+	// gemmColBlock bounds the panel of B columns processed per pass so the
+	// panel stays cache-resident while the A rows stream by.
 	gemmColBlock = 256
 )
-
-// MulABtInto computes dst = a·bᵀ where a is M×K, bt is N×K (b transposed,
-// row-major — the natural layout for Y = X·Wᵀ with nn.Linear weights stored
-// Out×In), and dst is M×N. dst is overwritten. Per output element the
-// products are accumulated in ascending k order, exactly as MulVec's dot
-// loop, so dst.Row(i) is bit-identical to bt.MulVec(dst.Row(i), a.Row(i)).
-func MulABtInto(dst, a, bt *Mat) {
-	checkLen(a.Cols, bt.Cols)
-	checkLen(dst.Rows, a.Rows)
-	checkLen(dst.Cols, bt.Rows)
-	for jb := 0; jb < bt.Rows; jb += gemmColBlock {
-		je := jb + gemmColBlock
-		if je > bt.Rows {
-			je = bt.Rows
-		}
-		i := 0
-		for ; i+2 <= a.Rows; i += 2 {
-			mulABt2Rows(dst, a, bt, i, jb, je)
-		}
-		if i < a.Rows {
-			mulABt1Row(dst, a, bt, i, jb, je)
-		}
-	}
-}
-
-// mulABt2Rows fills dst rows i and i+1 for output columns [jb, je) with a
-// 2×4 register tile: eight independent accumulators hide FP-add latency
-// while each still sums its own element's products in ascending k order.
-func mulABt2Rows(dst, a, bt *Mat, i, jb, je int) {
-	n := a.Cols
-	a0 := a.Data[i*n : i*n+n]
-	a1 := a.Data[(i+1)*n : (i+1)*n+n]
-	d0 := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-	d1 := dst.Data[(i+1)*dst.Cols : (i+2)*dst.Cols]
-	j := jb
-	for ; j+4 <= je; j += 4 {
-		b0 := bt.Data[j*n : j*n+n]
-		b1 := bt.Data[(j+1)*n : (j+1)*n+n]
-		b2 := bt.Data[(j+2)*n : (j+2)*n+n]
-		b3 := bt.Data[(j+3)*n : (j+3)*n+n]
-		var s00, s01, s02, s03 float64
-		var s10, s11, s12, s13 float64
-		for k := 0; k < n; k++ {
-			av0, av1 := a0[k], a1[k]
-			bv0, bv1, bv2, bv3 := b0[k], b1[k], b2[k], b3[k]
-			s00 += av0 * bv0
-			s01 += av0 * bv1
-			s02 += av0 * bv2
-			s03 += av0 * bv3
-			s10 += av1 * bv0
-			s11 += av1 * bv1
-			s12 += av1 * bv2
-			s13 += av1 * bv3
-		}
-		d0[j], d0[j+1], d0[j+2], d0[j+3] = s00, s01, s02, s03
-		d1[j], d1[j+1], d1[j+2], d1[j+3] = s10, s11, s12, s13
-	}
-	for ; j < je; j++ {
-		brow := bt.Data[j*n : j*n+n]
-		var s0, s1 float64
-		for k, bv := range brow {
-			s0 += a0[k] * bv
-			s1 += a1[k] * bv
-		}
-		d0[j], d1[j] = s0, s1
-	}
-}
-
-// mulABt1Row is the odd-row remainder of MulABtInto: a 1×4 tile.
-func mulABt1Row(dst, a, bt *Mat, i, jb, je int) {
-	n := a.Cols
-	a0 := a.Data[i*n : i*n+n]
-	d0 := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-	j := jb
-	for ; j+4 <= je; j += 4 {
-		b0 := bt.Data[j*n : j*n+n]
-		b1 := bt.Data[(j+1)*n : (j+1)*n+n]
-		b2 := bt.Data[(j+2)*n : (j+2)*n+n]
-		b3 := bt.Data[(j+3)*n : (j+3)*n+n]
-		var s0, s1, s2, s3 float64
-		for k := 0; k < n; k++ {
-			av := a0[k]
-			s0 += av * b0[k]
-			s1 += av * b1[k]
-			s2 += av * b2[k]
-			s3 += av * b3[k]
-		}
-		d0[j], d0[j+1], d0[j+2], d0[j+3] = s0, s1, s2, s3
-	}
-	for ; j < je; j++ {
-		brow := bt.Data[j*n : j*n+n]
-		var s float64
-		for k, bv := range brow {
-			s += a0[k] * bv
-		}
-		d0[j] = s
-	}
-}
-
-// ParallelMulABtInto is MulABtInto with the A rows (and their dst rows)
-// split across at most workers goroutines. Each output element is computed
-// by exactly one worker with the same tile kernels, so the result is
-// bit-identical to the serial call for any worker count. workers <= 1 (or a
-// matrix too small to be worth the handoff) runs serially.
-func ParallelMulABtInto(dst, a, bt *Mat, workers int) {
-	const minRowsPerWorker = 8
-	if workers > a.Rows/minRowsPerWorker {
-		workers = a.Rows / minRowsPerWorker
-	}
-	if workers <= 1 {
-		MulABtInto(dst, a, bt)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for lo := 0; lo < a.Rows; lo += chunk {
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			av := &Mat{Rows: hi - lo, Cols: a.Cols, Data: a.Data[lo*a.Cols : hi*a.Cols]}
-			dv := &Mat{Rows: hi - lo, Cols: dst.Cols, Data: dst.Data[lo*dst.Cols : hi*dst.Cols]}
-			MulABtInto(dv, av, bt)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // MatMulInto computes dst = a·b into dst (overwritten), blocked over B
 // columns for locality and branch-free in the inner loop. Per output

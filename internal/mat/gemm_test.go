@@ -35,16 +35,6 @@ func randMat(rng *rand.Rand, rows, cols int) *Mat {
 	return m
 }
 
-func transpose(m *Mat) *Mat {
-	t := NewMat(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 func requireBitEqual(t *testing.T, name string, want, got *Mat) {
 	t.Helper()
 	if want.Rows != got.Rows || want.Cols != got.Cols {
@@ -108,47 +98,6 @@ func TestMatMulIntoScalarVsVector(t *testing.T) {
 	}
 }
 
-func TestMulABtIntoMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, sh := range gemmShapes {
-		a := randMat(rng, sh.m, sh.k)
-		b := randMat(rng, sh.k, sh.n)
-		bt := transpose(b)
-		want := naiveMatMul(a, b)
-		got := NewMat(sh.m, sh.n)
-		MulABtInto(got, a, bt)
-		requireBitEqual(t, "MulABtInto", want, got)
-
-		// Row-for-row agreement with MulVec — the kernel the serial
-		// inference path uses — is the exactness contract the batched
-		// forward relies on.
-		row := NewVec(sh.n)
-		for i := 0; i < sh.m; i++ {
-			bt.MulVec(row, a.Row(i))
-			for j, w := range row {
-				if got.At(i, j) != w {
-					t.Fatalf("shape %v: (%d,%d) = %v, want MulVec's %v", sh, i, j, got.At(i, j), w)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelMulABtIntoMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for _, workers := range []int{0, 1, 2, 3, 8} {
-		for _, sh := range gemmShapes {
-			a := randMat(rng, sh.m, sh.k)
-			bt := randMat(rng, sh.n, sh.k)
-			want := NewMat(sh.m, sh.n)
-			MulABtInto(want, a, bt)
-			got := NewMat(sh.m, sh.n)
-			ParallelMulABtInto(got, a, bt, workers)
-			requireBitEqual(t, "ParallelMulABtInto", want, got)
-		}
-	}
-}
-
 func BenchmarkMulVecDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	w := randMat(rng, 64, 64)
@@ -159,17 +108,6 @@ func BenchmarkMulVecDense(b *testing.B) {
 		for r := 0; r < x.Rows; r++ {
 			w.MulVec(y, x.Row(r))
 		}
-	}
-}
-
-func BenchmarkMulABtInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	w := randMat(rng, 64, 64)
-	x := randMat(rng, 13, 64)
-	y := NewMat(13, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulABtInto(y, x, w)
 	}
 }
 

@@ -269,8 +269,8 @@ func int8GemvGo(acc []int32, arow []uint8, wdata []int8, kp int) {
 }
 
 // ParallelMulABtInt8Into is MulABtInt8Into with the activation rows (and
-// their dst rows) split across at most workers goroutines, mirroring
-// ParallelMulABtInto's row-split tiling. acc must hold workers×w.Rows int32
+// their dst rows) split into contiguous blocks, one per worker, across at
+// most workers goroutines. acc must hold workers×w.Rows int32
 // so each worker owns a private accumulator strip. Identical results for any
 // worker count: every output element is computed by exactly one worker with
 // the same kernels.

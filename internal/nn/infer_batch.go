@@ -7,9 +7,9 @@ import (
 	"saccs/internal/mat"
 )
 
-// Batched inference kernels: the cross-request extraction batcher packs
-// several token sequences into one matrix (one row per token, sequences
-// concatenated, addressed by starts/lens) and runs each layer as a GEMM over
+// Batched inference kernels: batched review extraction packs several token
+// sequences into one matrix (one row per token, sequences concatenated,
+// addressed by starts/lens) and runs each layer as a GEMM over
 // all rows at once instead of a MulVec per token. The payoff is kernel
 // efficiency — mat.MatMulInto's blocked/vectorized path — not different
 // arithmetic: every kernel here performs its serial twin's float operations

@@ -8,8 +8,8 @@ import (
 )
 
 // The batched kernels must be bit-identical to their serial twins per
-// sequence: the cross-request extraction batcher leans on that identity to
-// keep batched and solo decodes indistinguishable. These tests pack
+// sequence: batched review extraction (core.Extractor.ExtractTexts) leans on
+// that identity to keep batched and solo decodes indistinguishable. These tests pack
 // adversarial length mixes (empty, single-token, long) and compare every
 // output element for exact equality.
 

@@ -23,8 +23,7 @@
 // only on the entity's own reviews, any vector of per-shard snapshots is a
 // consistent world state: no single entity's data can be torn across
 // generations. TopK fans the query out (one goroutine per shard holding
-// results, first failure cancelling the siblings; inline at GOMAXPROCS=1,
-// where fan-out is pure scheduling overhead), ranks each shard with
+// results, first failure cancelling the siblings), ranks each shard with
 // the same Algorithm 1 ranker the single index uses, and merges under the
 // deterministic coverage/score/ID order — byte-identical to ranking the
 // unsharded union, because each shard's list is already totally ordered
@@ -39,7 +38,6 @@ package shard
 import (
 	"context"
 	"hash/fnv"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -256,15 +254,6 @@ func (v *View) Resolve(ctx context.Context, tag string, thetaFilter float64) ([]
 // (an entity beyond a shard's top k cannot enter the merged top k), so the
 // gather moves at most shards×k results.
 //
-// At GOMAXPROCS=1 the shards rank inline instead: per-shard goroutines
-// cannot overlap on one processor, and the blocking join they force is worse
-// than useless — it reschedules concurrent queries in lockstep rotation at
-// query boundaries, so their extraction windows never overlap and the
-// cross-request decode batcher (which detects load by in-flight overlap and
-// arrival gaps) degrades every query to a solo decode. Ranking serially
-// keeps a query CPU-bound end to end, exactly like the unsharded path, and
-// computes the same per-shard lists the fan-out would.
-//
 // With at least one tag the ranking is independent of apiResults order; with
 // zero tags Algorithm 1 passes the API results through unranked, and the
 // merge emits them ID-sorted — identical to the unsharded pass-through
@@ -278,21 +267,6 @@ func (v *View) TopK(ctx context.Context, parent *obs.Span, apiResults, tags []st
 	for _, id := range apiResults {
 		s := Owner(id, len(v.snaps))
 		parts[s] = append(parts[s], id)
-	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		ranked := make([][]search.Scored, len(v.snaps))
-		for i := range v.snaps {
-			if len(parts[i]) == 0 {
-				continue
-			}
-			r := &search.Ranker{Index: v.snaps[i], ThetaFilter: thetaFilter, Agg: v.agg}
-			out, err := r.RankCtx(ctx, parent, parts[i], tags)
-			if err != nil {
-				return nil, err
-			}
-			ranked[i] = search.Truncate(out, k)
-		}
-		return mergeRanked(ranked, k), nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

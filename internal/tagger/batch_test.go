@@ -9,7 +9,7 @@ import (
 // TestPredictBatchMatchesPredict pins batched decoding against the serial
 // path label-for-label across adversarial batch shapes. Because the batch
 // kernels are bit-exact (internal/nn and internal/bert differential tests),
-// label equality here is the end-to-end corollary the extraction batcher
+// label equality here is the end-to-end corollary batched review extraction
 // depends on.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	m, _ := benchModel()

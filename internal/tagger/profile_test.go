@@ -5,17 +5,25 @@ import (
 	"testing"
 
 	"saccs/internal/bert"
+	"saccs/internal/nn"
 	"saccs/internal/tokenize"
 )
 
 // BenchmarkPredict measures one cold decode at production model dimensions
-// (bert.DefaultConfig + tagger.DefaultConfig): the `tagger.decode` stage of
-// BENCH.json. Run with -cpuprofile to see the kernel breakdown.
+// (bert.DefaultConfig + tagger.DefaultConfig) at each precision: float64 is
+// the review-indexing reference, mixed the utterance decode the facade
+// serves (its `tagger.decode` stage), int8 the fully quantized mode. Run
+// with -cpuprofile to see the kernel breakdown.
 func BenchmarkPredict(b *testing.B) {
 	m, tokens := benchModel()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(tokens)
+	for _, p := range []nn.Precision{nn.Float64, nn.Mixed, nn.Int8} {
+		b.Run(p.String(), func(b *testing.B) {
+			m.PredictAt(tokens, p) // warm the arenas at this precision
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.PredictAt(tokens, p)
+			}
+		})
 	}
 }
 

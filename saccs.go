@@ -119,19 +119,6 @@ type Config struct {
 	// gauge (bad fraction over the 1% error budget). 0 disables SLO
 	// accounting.
 	SLOTarget time.Duration
-	// BatchWindow is how long a cache-missing utterance sentence waits for
-	// concurrent requests to share one neural decode (DefaultConfig: 250µs).
-	// Concurrent cache misses gather for up to this long and decode as one
-	// batched forward pass — bit-identical to decoding each alone, ~3x
-	// cheaper per sentence at batch 4 — then fan back out. A lone request
-	// skips the wait entirely, so the knob costs idle traffic nothing.
-	// 0 disables cross-request batching.
-	BatchWindow time.Duration
-	// BatchMaxSize caps how many sentences one batched forward pass decodes
-	// (DefaultConfig: 16). A gather that exceeds it seals early and splits
-	// into balanced forwards of at most this many sequences. Values below 2
-	// disable cross-request batching.
-	BatchMaxSize int
 	// Precision selects the inference arithmetic of the utterance decode —
 	// the latency-critical tagger forward behind Query, Chat, and
 	// ExtractTags: "mixed" (the "" default) runs int8 GEMMs with float32
@@ -172,8 +159,6 @@ func DefaultConfig() Config {
 		Epsilon:          0.2,
 		HistoryLimit:     4096,
 		ExtractCacheSize: 4096,
-		BatchWindow:      250 * time.Microsecond,
-		BatchMaxSize:     16,
 		Precision:        "mixed",
 
 		IngestPublishEvery:    64,
@@ -275,9 +260,9 @@ type Client struct {
 	// extr is the serving extractor: utterance decodes run at the
 	// configured Precision (quantized kernels by default). refExtr is the
 	// indexing extractor: the same trained tagger pinned to the float64
-	// reference arithmetic, with its own cache and gather state, so the
-	// index is a precision-independent artifact — reviews extract to
-	// byte-identical postings whatever Precision serves queries.
+	// reference arithmetic, with its own cache, so the index is a
+	// precision-independent artifact — reviews extract to byte-identical
+	// postings whatever Precision serves queries.
 	extr    *core.Extractor
 	refExtr *core.Extractor
 	measure sim.Measure
@@ -371,30 +356,25 @@ func New(cfg Config) (*Client, error) {
 	cache.SetObserver(o)
 	pairer := pairing.Tree{Lex: parse.DomainLexicon(domain), FromOpinions: true}
 	// Index builds extract through a float64-pinned view of the same trained
-	// tagger, with a separate cache (entries must be bit-identical to a fresh
+	// tagger, with a separate cache: entries must be bit-identical to a fresh
 	// decode at the extractor's own precision, so the two modes never share
-	// one) and separate gather state (a batched forward decodes at one
-	// precision, so cohorts are per-extractor).
+	// one.
 	refCache := extcache.New(cfg.ExtractCacheSize)
 	refCache.SetObserver(o)
 	c := &Client{
 		cfg:    cfg,
 		domain: domain,
 		extr: &core.Extractor{
-			Tagger:       tg,
-			Pairer:       pairer,
-			Cache:        cache,
-			Obs:          o,
-			BatchWindow:  cfg.BatchWindow,
-			BatchMaxSize: cfg.BatchMaxSize,
+			Tagger: tg,
+			Pairer: pairer,
+			Cache:  cache,
+			Obs:    o,
 		},
 		refExtr: &core.Extractor{
-			Tagger:       tagger.ReferenceView{M: tg},
-			Pairer:       pairer,
-			Cache:        refCache,
-			Obs:          o,
-			BatchWindow:  cfg.BatchWindow,
-			BatchMaxSize: cfg.BatchMaxSize,
+			Tagger: tagger.ReferenceView{M: tg},
+			Pairer: pairer,
+			Cache:  refCache,
+			Obs:    o,
 		},
 		measure: measure,
 		o:       o,
@@ -475,8 +455,9 @@ func (c *Client) CanonicalTags() []string {
 
 // IndexEntities extracts subjective tags from every entity's reviews and
 // builds the inverted index for the given tag set. Extraction fans out
-// across GOMAXPROCS goroutines (the pipeline is reentrant) and the build
-// fans out per tag; results are merged in input order, so the index is
+// across GOMAXPROCS goroutines, one entity at a time (the pipeline is
+// reentrant), and decodes each entity's review sentences in shared batched
+// forwards; the build fans out per tag; results are merged in input order, so the index is
 // identical for any degree of parallelism. Calling IndexEntities again
 // builds a complete replacement world off to the side and publishes it
 // atomically — queries already in flight finish against the old index, the
@@ -504,8 +485,8 @@ func (c *Client) IndexEntitiesCtx(ctx context.Context, entities []Entity, tags [
 	extract := func(i int) {
 		e := entities[i]
 		er := index.EntityReviews{EntityID: e.ID, ReviewCount: len(e.Reviews)}
-		for _, r := range e.Reviews {
-			er.Tags = append(er.Tags, c.refExtr.ExtractTags(r)...)
+		for _, tags := range c.refExtr.ExtractTexts(e.Reviews) {
+			er.Tags = append(er.Tags, tags...)
 		}
 		reviews[i] = er
 	}
@@ -800,17 +781,13 @@ func (c *Client) openIngestLocked() error {
 	return nil
 }
 
-// extractReviewTags is the ingester's extraction hook: per review it runs
-// exactly what the batch IndexEntities path runs (the reference extractor's
-// ExtractTags, which dedupes across a review's sentences), so a streamed
-// world and a batch world extract identically — at the float64 reference
-// precision, independent of the serving Precision.
+// extractReviewTags is the ingester's extraction hook. It runs exactly what
+// the batch IndexEntities path runs (the reference extractor's ExtractTexts,
+// which dedupes per review), so a streamed world and a batch world extract
+// identically — at the float64 reference precision, independent of the
+// serving Precision.
 func (c *Client) extractReviewTags(texts []string) [][]string {
-	out := make([][]string, len(texts))
-	for i, t := range texts {
-		out[i] = c.refExtr.ExtractTags(t)
-	}
-	return out
+	return c.refExtr.ExtractTexts(texts)
 }
 
 // IndexedTags returns the current index keys.
